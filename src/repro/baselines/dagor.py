@@ -44,6 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Business-priority classes (0 = most critical, admitted longest).
 BUSINESS_LEVELS = 4
 
+#: User-level slices per business class (the mesh's upstream shed uses
+#: the same partition as every service's admission level).
+USER_LEVELS = 8
+
 #: Op name -> business priority.  Light point reads/writes are the
 #: critical tiers; heavy bulk work is the first to be shed.  Ops not
 #: listed default to :data:`DEFAULT_BUSINESS_PRIORITY`.
@@ -147,7 +151,7 @@ class Dagor(BaseController):
         env: "Environment",
         slo_latency: float = 0.05,
         adjust_period: float = 0.2,
-        user_levels: int = 8,
+        user_levels: int = USER_LEVELS,
         shrink_step: Optional[int] = None,
         grow_step: int = 1,
         min_level: Optional[int] = None,

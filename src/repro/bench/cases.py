@@ -32,20 +32,12 @@ from ..sim.metrics import MetricsCollector
 from ..sim.resources.lock import SyncLock
 from ..sim.rng import Rng
 from ..workloads.driver import Driver
-from ..workloads.spec import MixEntry, OpenLoopSource, Workload
+from ..workloads.spec import MixEntry, poisson_arrival_stream
 
 
 def events_scheduled(env: Environment) -> int:
-    """Total events the environment has scheduled (engine-agnostic).
-
-    Prefers the fast-path kernel's counter; falls back to consuming one
-    value from a generator-based sequence counter (only done after the
-    run, so the probe never perturbs results).
-    """
-    n = getattr(env, "events_scheduled", None)
-    if n is not None:
-        return int(n)
-    return next(env._eid)
+    """Total events the environment has scheduled."""
+    return int(env.events_scheduled)
 
 
 #: A case body: given a scale, build + run the simulation and return
@@ -172,13 +164,8 @@ class _BenchApp(Application):
 
 
 def _arrival_flood(scale: int) -> Tuple[Environment, float]:
-    """~``scale`` open-loop Poisson arrivals through the full driver.
-
-    Uses the driver's pre-generated arrival-stream path when the engine
-    provides one (``Driver.run_arrivals``), else the classic generator
-    source -- the workload (arrival times, operations, service times)
-    is draw-identical either way.
-    """
+    """~``scale`` open-loop Poisson arrivals through the full driver,
+    pre-generated as one arrival stream (``Driver.run_arrivals``)."""
     rate = 2000.0
     duration = scale / rate
     env = Environment()
@@ -187,21 +174,13 @@ def _arrival_flood(scale: int) -> Tuple[Environment, float]:
     app = _BenchApp(env, controller, rng)
     driver = Driver(env, app, controller, MetricsCollector())
     mix = [MixEntry(lambda: Operation("noop"), 1.0)]
-    if hasattr(driver, "run_arrivals"):
-        from ..workloads.spec import poisson_arrival_stream
-
-        stream = poisson_arrival_stream(
-            rng.fork("arrivals:client"),
-            rate=rate,
-            stop_time=duration,
-            mix=mix,
-        )
-        driver.run_arrivals(stream)
-    else:  # pragma: no cover - pre-fast-path engines only
-        workload = Workload(
-            [OpenLoopSource(rate=rate, mix=mix, stop_time=duration)]
-        )
-        driver.run_workload(workload)
+    stream = poisson_arrival_stream(
+        rng.fork("arrivals:client"),
+        rate=rate,
+        stop_time=duration,
+        mix=mix,
+    )
+    driver.run_arrivals(stream)
     env.run(until=duration)
     return env, duration
 
@@ -223,7 +202,9 @@ def _cluster_fanout(scale: int) -> Tuple[Environment, float]:
     the number is an engine cost, not an IPC cost.  Event counts are
     summed across the fleet's per-node environments.
     """
-    from ..cluster import Fleet, demo_fleet
+    from ..cluster import ClusterNode, demo_fleet
+    from ..cluster.epoch import run_epochs
+    from ..cluster.fleet import FleetPlanner
 
     duration = float(scale)
     spec = demo_fleet(
@@ -232,9 +213,10 @@ def _cluster_fanout(scale: int) -> Tuple[Environment, float]:
         warmup=min(2.0, duration / 2),
         mode="coordinated",
     )
-    fleet = Fleet(spec)
-    fleet.run()
-    total = sum(events_scheduled(node.env) for node in fleet.nodes)
+    planner = FleetPlanner(spec)
+    nodes = [ClusterNode(spec, node, i) for i, node in enumerate(spec.nodes)]
+    run_epochs(spec, planner, nodes.__getitem__, len(nodes), jobs=1)
+    total = sum(events_scheduled(node.env) for node in nodes)
     return _FleetEnvProxy(total), duration
 
 

@@ -19,8 +19,8 @@ Entry points:
 from .coordinator import CoordinatorDecision, GlobalCoordinator
 from .directives import CLUSTER_OPS, Directive, priority_of
 from .balancer import LoadBalancer
-from .fleet import Fleet, FleetResult, run_fleet
-from .mesh import DagResult, Mesh, ServiceNode, ServiceStatus, run_dag
+from .fleet import FleetResult, run_fleet
+from .mesh import DagResult, ServiceNode, ServiceStatus, run_dag
 from .node import ClusterNode, NodeStatus
 from .routing import (
     DagorAdmission,
@@ -41,11 +41,9 @@ __all__ = [
     "DagResult",
     "DagorAdmission",
     "Directive",
-    "Fleet",
     "FleetResult",
     "FleetSpec",
     "GlobalCoordinator",
-    "Mesh",
     "ServiceNode",
     "ServiceStatus",
     "LeastOutstanding",

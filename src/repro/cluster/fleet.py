@@ -1,23 +1,19 @@
-"""The fleet: epoch loop, shard workers, and the run result.
+"""The fleet: the planner over the epoch engine, and the run result.
 
-Execution model (the key to serial==sharded byte parity): within an
-epoch every node advances independently -- the balancer pre-assigns the
-epoch's arrivals using epoch-*start* state, and coordinator directives
-issued at epoch ``k`` are delivered at the start of epoch ``k + 1``.
-Cross-node coupling therefore happens only at epoch boundaries, through
-picklable values (arrival tuples, :class:`NodeStatus`,
-:class:`Directive`), so a node's trajectory is a pure function of the
-spec and the boundary inputs.  The sharded path runs the *same*
-``ClusterNode.advance`` code in persistent fork-started workers (one
-round-trip per epoch per shard); shard count comes from the campaign
-worker-pool settings (``repro.campaign.settings`` / ``REPRO_JOBS``).
+A fleet run is :func:`repro.cluster.epoch.run_epochs` over one
+:class:`ClusterNode` per node spec, with :class:`FleetPlanner` as the
+cross-node half: the balancer pre-assigns each epoch's arrivals using
+epoch-*start* state, and coordinator directives issued at epoch ``k``
+are delivered at the start of epoch ``k + 1``.  Cross-node coupling
+therefore happens only at epoch boundaries, through picklable values
+(arrival tuples, :class:`NodeStatus`, :class:`Directive`), which is
+what makes serial and sharded runs byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -25,6 +21,7 @@ from ..sim.metrics import percentile
 from .balancer import LoadBalancer
 from .coordinator import GlobalCoordinator
 from .directives import QUARANTINE, Directive
+from .epoch import run_epochs
 from .node import ClusterNode, NodeStatus
 from .spec import FleetSpec
 
@@ -105,210 +102,89 @@ class FleetResult:
         return "\n".join(lines)
 
 
-class Fleet:
-    """Builds and drives one fleet run (serial path)."""
+class FleetPlanner:
+    """The fleet's cross-node half: load balancer plus coordinator."""
 
     def __init__(self, spec: FleetSpec) -> None:
         self.spec = spec
         self.balancer = LoadBalancer(spec)
         self.coordinator = GlobalCoordinator(spec)
-        self.nodes = [
-            ClusterNode(spec, node_spec, index)
-            for index, node_spec in enumerate(spec.nodes)
-        ]
+        self.statuses_by_epoch: List[List[NodeStatus]] = []
+        #: Directives issued last epoch, delivered to every node now.
+        self.pending: List[Directive] = []
 
-    def run(self) -> FleetResult:
-        return _drive(self.spec, self.balancer, self.coordinator,
-                      self._advance_serial, self._finish_serial)
-
-    def _advance_serial(self, epoch, t_end, plan, directives):
+    def plan(self, epoch: int, t_end: float):
+        assigned = self.balancer.assign(t_end)
         return [
-            node.advance(epoch, t_end, plan.get(node.index, []), directives)
-            for node in self.nodes
+            (assigned.get(index, []), self.pending)
+            for index in range(len(self.spec.nodes))
         ]
 
-    def _finish_serial(self):
-        return [node.finish() for node in self.nodes]
-
-
-def _drive(spec, balancer, coordinator, advance_all, finish_all):
-    """The epoch loop shared by serial and sharded execution."""
-    statuses_by_epoch: List[List[NodeStatus]] = []
-    pending: List[Directive] = []
-    for epoch in range(spec.epoch_count()):
-        t_end = spec.epoch_end(epoch)
-        plan = balancer.assign(t_end)
-        statuses = advance_all(epoch, t_end, plan, pending)
-        statuses_by_epoch.append(statuses)
-        balancer.update(statuses)
-        issued = coordinator.observe(epoch, t_end, statuses)
-        pending = []
-        if spec.mode == "coordinated":
+    def fold(self, epoch: int, t_end: float,
+             statuses: List[NodeStatus]) -> None:
+        self.statuses_by_epoch.append(statuses)
+        self.balancer.update(statuses)
+        issued = self.coordinator.observe(epoch, t_end, statuses)
+        self.pending = []
+        if self.spec.mode == "coordinated":
             for directive in issued:
                 if directive.kind == QUARANTINE:
-                    balancer.quarantine(directive.op)
+                    self.balancer.quarantine(directive.op)
                 else:
-                    pending.append(directive)
-    reports = finish_all()
-    return _summarize(spec, balancer, coordinator, statuses_by_epoch, reports)
+                    self.pending.append(directive)
 
-
-def _summarize(spec, balancer, coordinator, statuses_by_epoch, reports):
-    result = FleetResult(
-        spec_mode=spec.mode,
-        policy=spec.policy,
-        n_nodes=len(spec.nodes),
-        duration=spec.duration,
-        epochs=len(statuses_by_epoch),
-    )
-    latencies: List[float] = []
-    good = 0.0
-    for statuses in statuses_by_epoch:
-        for status in statuses:
-            if status.t <= spec.warmup:
-                continue
-            latencies.extend(status.victim_latencies)
-            good += status.goodput_window * spec.epoch
-    effective = max(spec.duration - spec.warmup, 1e-9)
-    if latencies:
-        result.victim_p99 = percentile(latencies, 99)
-    result.goodput = good / effective
-    expected = set(spec.expected_culprits)
-    cancelled_ops: List[str] = []
-    for report in reports:
-        cancelled_ops.extend(report["local_cancelled_ops"])
-        cancelled_ops.extend(report["directive_cancelled_ops"])
-    result.cancels_total = len(cancelled_ops)
-    result.wrong_cancels = sum(
-        1 for op in cancelled_ops if op not in expected
-    )
-    result.wrong_culprit_rate = (
-        result.wrong_cancels / result.cancels_total
-        if result.cancels_total
-        else 0.0
-    )
-    result.directives = [d.to_dict() for d in coordinator.directives]
-    result.quarantined = list(coordinator.quarantined)
-    result.decisions = [d.to_dict() for d in coordinator.decisions]
-    result.health_events = [
-        e.to_dict() for e in coordinator.monitor.events
-    ]
-    result.lb = balancer.stats()
-    result.node_reports = reports
-    return result
-
-
-# ----------------------------------------------------------------------
-# Sharded execution (campaign worker pool)
-# ----------------------------------------------------------------------
-
-def _shard_worker(spec_dict, indices, conn):  # pragma: no cover - subprocess
-    """Persistent shard process: owns a subset of the fleet's nodes."""
-    spec = FleetSpec.from_dict(spec_dict)
-    nodes = {
-        index: ClusterNode(spec, spec.nodes[index], index)
-        for index in indices
-    }
-    try:
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "advance":
-                _, epoch, t_end, inputs = message
-                statuses = {}
-                for index, (arrivals, directives) in inputs.items():
-                    statuses[index] = nodes[index].advance(
-                        epoch, t_end, arrivals, directives
-                    )
-                conn.send(statuses)
-            elif kind == "finish":
-                conn.send(
-                    {index: node.finish() for index, node in nodes.items()}
-                )
-            else:
-                break
-    finally:
-        conn.close()
-
-
-class _ShardPool:
-    """Fork-started shard processes driven over pipes."""
-
-    def __init__(self, spec: FleetSpec, shards: int) -> None:
-        ctx = multiprocessing.get_context("fork")
-        n = len(spec.nodes)
-        self.assignments = [
-            [index for index in range(n) if index % shards == s]
-            for s in range(shards)
-        ]
-        self.pipes = []
-        self.procs = []
-        spec_dict = spec.to_dict()
-        for indices in self.assignments:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker, args=(spec_dict, indices, child)
-            )
-            proc.daemon = True
-            proc.start()
-            child.close()
-            self.pipes.append(parent)
-            self.procs.append(proc)
-
-    def advance_all(self, epoch, t_end, plan, directives):
-        for pipe, indices in zip(self.pipes, self.assignments):
-            inputs = {
-                index: (plan.get(index, []), directives)
-                for index in indices
-            }
-            pipe.send(("advance", epoch, t_end, inputs))
-        merged: Dict[int, NodeStatus] = {}
-        for pipe in self.pipes:
-            merged.update(pipe.recv())
-        return [merged[index] for index in sorted(merged)]
-
-    def finish_all(self):
-        for pipe in self.pipes:
-            pipe.send(("finish",))
-        merged: Dict[int, Dict[str, Any]] = {}
-        for pipe in self.pipes:
-            merged.update(pipe.recv())
-        return [merged[index] for index in sorted(merged)]
-
-    def close(self):
-        for pipe in self.pipes:
-            try:
-                pipe.send(("stop",))
-                pipe.close()
-            except OSError:
-                pass
-        for proc in self.procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
+    def finish(self, reports: List[Dict[str, Any]]) -> FleetResult:
+        spec = self.spec
+        result = FleetResult(
+            spec_mode=spec.mode,
+            policy=spec.policy,
+            n_nodes=len(spec.nodes),
+            duration=spec.duration,
+            lb=self.balancer.stats(),
+            node_reports=reports,
+            epochs=len(self.statuses_by_epoch),
+            **self.coordinator.stats(),
+        )
+        latencies: List[float] = []
+        good = 0.0
+        for statuses in self.statuses_by_epoch:
+            for status in statuses:
+                if status.t <= spec.warmup:
+                    continue
+                latencies.extend(status.victim_latencies)
+                good += status.goodput_window * spec.epoch
+        effective = max(spec.duration - spec.warmup, 1e-9)
+        if latencies:
+            result.victim_p99 = percentile(latencies, 99)
+        result.goodput = good / effective
+        expected = set(spec.expected_culprits)
+        cancelled_ops: List[str] = []
+        for report in reports:
+            cancelled_ops.extend(report["local_cancelled_ops"])
+            cancelled_ops.extend(report["directive_cancelled_ops"])
+        result.cancels_total = len(cancelled_ops)
+        result.wrong_cancels = sum(
+            1 for op in cancelled_ops if op not in expected
+        )
+        result.wrong_culprit_rate = (
+            result.wrong_cancels / result.cancels_total
+            if result.cancels_total
+            else 0.0
+        )
+        return result
 
 
 def run_fleet(spec: FleetSpec, jobs: Optional[int] = None) -> FleetResult:
     """Run a fleet to completion; serial or sharded, same bytes.
 
-    ``jobs`` defaults to the campaign worker-pool settings
-    (:func:`repro.campaign.settings` overlays / ``REPRO_JOBS``); node
-    simulations are sharded round-robin across ``min(jobs, nodes)``
-    persistent fork-started workers.  Platforms without the fork start
-    method fall back to serial execution.
+    Node simulations shard round-robin across ``min(jobs, nodes)``
+    persistent fork-started workers; ``jobs`` defaults to the campaign
+    worker-pool settings (see :func:`repro.cluster.epoch.run_epochs`).
     """
-    from ..campaign import current_settings
-
-    resolved = current_settings(jobs=jobs)
-    shards = min(resolved.jobs, len(spec.nodes))
-    if shards <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return Fleet(spec).run()
-    balancer = LoadBalancer(spec)
-    coordinator = GlobalCoordinator(spec)
-    pool = _ShardPool(spec, shards)
-    try:
-        return _drive(
-            spec, balancer, coordinator, pool.advance_all, pool.finish_all
-        )
-    finally:
-        pool.close()
+    return run_epochs(
+        spec,
+        FleetPlanner(spec),
+        lambda index: ClusterNode(spec, spec.nodes[index], index),
+        len(spec.nodes),
+        jobs,
+    )

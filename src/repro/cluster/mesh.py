@@ -1,9 +1,11 @@
 """Microservice-mesh execution: DAG requests over epoch-synced services.
 
 Runs a :class:`~repro.workloads.dag.DagSpec`: every service is a full
-app-node simulation (:class:`ServiceNode`, the same stack as a fleet
-:class:`~repro.cluster.node.ClusterNode`), and the mesh drives them
-with the cluster tier's epoch discipline -- RPC shards produced by a
+app-node simulation (:class:`ServiceNode`, the same
+:class:`~repro.cluster.node.EpochNode` stack as a fleet
+:class:`~repro.cluster.node.ClusterNode`), and :class:`MeshPlanner`
+drives them through the cluster epoch engine
+(:mod:`repro.cluster.epoch`) -- RPC shards produced by a
 parent stage in epoch ``k`` dispatch at the start of epoch ``k + 1``,
 per-edge FIFO queues enforce the edge concurrency limits, and an
 AND-join completes a stage only when all shards of all incoming edges
@@ -35,24 +37,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..apps.base import Operation
-from ..apps.mysql import MySQL, MySQLConfig
-from ..apps.postgres import PostgreSQL, PostgresConfig
+from ..baselines import controller_factory
 from ..baselines.autothrottle import Autothrottle, AutothrottleTower
-from ..baselines.dagor import Dagor, compound_priority
-from ..core.atropos import Atropos
-from ..core.config import AtroposConfig
-from ..core.controller import NullController
-from ..sim.environment import Environment
-from ..sim.metrics import MetricsCollector, Summary, percentile
-from ..sim.rng import Rng
+from ..baselines.dagor import USER_LEVELS, Dagor, compound_priority
+from ..sim.metrics import percentile
 from ..telemetry.health import HealthMonitor, default_health_rules
 from ..workloads.dag import DagSpec, ServiceSpec, build_arrivals
-from ..workloads.driver import Driver
+from .epoch import run_epochs
+from .node import EpochNode
 
 #: Shard tuple crossing the mesh -> node boundary (picklable):
 #: ``(time, key, op, params, client_id)``.
@@ -85,7 +80,7 @@ class ServiceStatus:
     target: float = 0.0
 
 
-class ServiceNode:
+class ServiceNode(EpochNode):
     """One mesh service, advanced epoch by epoch."""
 
     def __init__(
@@ -95,93 +90,14 @@ class ServiceNode:
         index: int,
         controller: str,
     ) -> None:
-        self.spec = spec
-        self.service = service
-        self.index = index
-        self.name = service.name
-        self.backend = service.backend
-        self.mode = controller
-        self.env = Environment()
-        rng = Rng(spec.seed).fork(f"dag:{self.name}")
-        self.controller = self._make_controller(controller, spec)
-        if service.backend == "mysql":
-            self.app = MySQL(
-                self.env,
-                self.controller,
-                rng,
-                MySQLConfig(
-                    tables=spec.tables,
-                    pages_per_light_op=spec.mysql_pages_per_light_op,
-                    miss_penalty=spec.mysql_miss_penalty,
-                ),
-            )
-        else:
-            self.app = PostgreSQL(
-                self.env,
-                self.controller,
-                rng,
-                PostgresConfig(tables=spec.tables),
-            )
-        self._register_dag_ops()
-        self.controller.bind(self.app)
-        if controller != "none":
-            self.controller.start()
-        self.collector = MetricsCollector()
-        self.driver = Driver(
-            self.env, self.app, self.controller, self.collector
+        super().__init__(
+            spec,
+            service,
+            index,
+            "dag",
+            controller_factory(controller, spec.slo_latency),
+            start=controller != "none",
         )
-        self._record_idx = 0
-        self._offered_last = 0
-
-    def _make_controller(self, controller: str, spec: DagSpec):
-        if controller == "atropos":
-            return Atropos(
-                self.env,
-                AtroposConfig(
-                    slo_latency=spec.slo_latency,
-                    cancellation_enabled=True,
-                ),
-            )
-        if controller == "dagor":
-            return Dagor(
-                self.env,
-                slo_latency=spec.slo_latency,
-                user_levels=spec.dagor_user_levels,
-            )
-        if controller == "autothrottle":
-            return Autothrottle(self.env, slo_latency=spec.slo_latency)
-        return NullController(self.env)
-
-    def _register_dag_ops(self) -> None:
-        app = self.app
-        spec = self.spec
-        if self.backend == "mysql":
-
-            def point(task, table=0):
-                yield from app.point_select(task, table=table)
-
-            def write(task, table=0):
-                yield from app.row_update(task, table=table)
-
-            def scan(task, rows=0.0):
-                yield from app.scan(task, table=0, rows=rows)
-
-        else:
-
-            def point(task, table=0):
-                yield from app.select(task, table=table)
-
-            def write(task, table=0):
-                yield from app.update(task, table=table)
-
-            def scan(task, rows=0.0):
-                yield from app.vacuum(
-                    task, total_bytes=rows * spec.pg_bytes_per_row
-                )
-
-        app.register_handler("point", point)
-        app.register_handler("write", write)
-        app.register_handler("scan", scan)
 
     # ------------------------------------------------------------------
     # Epoch advance
@@ -205,19 +121,8 @@ class ServiceNode:
         self.env.run(until=t_end)
         return self._status(epoch, t_end)
 
-    def _make_op(self, op: str, params: Dict[str, Any]):
-        def factory(op=op, params=params):
-            return Operation(op, dict(params))
-
-        return factory
-
     def _status(self, epoch: int, t_end: float) -> ServiceStatus:
-        records = self.collector.records
-        window = records[self._record_idx:]
-        self._record_idx = len(records)
-        offered_total = self.collector.offered
-        offered_window = offered_total - self._offered_last
-        self._offered_last = offered_total
+        window, offered_window = self._take_window()
         status = ServiceStatus(
             service=self.name,
             backend=self.backend,
@@ -255,24 +160,15 @@ class ServiceNode:
     def finish(self) -> Dict[str, Any]:
         """Per-service end-of-run report (picklable)."""
         spec = self.spec
-        effective = spec.duration + spec.drain - spec.warmup
-        summary = Summary.from_collector(
-            self.collector.trimmed(spec.warmup), effective
-        )
         controller = self.controller
-        return {
-            "service": self.name,
-            "backend": self.backend,
-            "throughput": summary.throughput,
-            "p99_latency": summary.p99_latency,
-            "completed": summary.completed,
-            "cancelled": summary.cancelled,
-            "dropped": summary.dropped,
-            "cancels": int(controller.cancels_issued),
-            "rejections": int(getattr(controller, "rejections", 0)),
-            "resize_moves": int(getattr(controller, "resize_moves", 0)),
-            "target_moves": int(getattr(controller, "target_moves", 0)),
-        }
+        return self._report(
+            "service",
+            spec.duration + spec.drain,
+            cancels=int(controller.cancels_issued),
+            rejections=int(getattr(controller, "rejections", 0)),
+            resize_moves=int(getattr(controller, "resize_moves", 0)),
+            target_moves=int(getattr(controller, "target_moves", 0)),
+        )
 
 
 @dataclass
@@ -388,8 +284,8 @@ class _RequestState:
         return max(cp.values())
 
 
-class _MeshDriver:
-    """The epoch loop shared by serial and sharded execution."""
+class MeshPlanner:
+    """The mesh's cross-service half: request DAG, health, tower."""
 
     def __init__(self, spec: DagSpec, controller: str) -> None:
         self.spec = spec
@@ -440,16 +336,17 @@ class _MeshDriver:
         self.cancelled_shards = 0
         #: (arrival, cp_latency) of completed victim requests.
         self.victim_done: List[Tuple[float, float]] = []
+        #: Critical paths of victim completions since the last tower move.
         self._window_victim_cp: List[float] = []
+        #: Tower targets to deliver next epoch, by service index.
+        self.directives: Dict[int, List[Tuple[str, float]]] = {}
         self._arrival_idx = 0
 
     # -- per-epoch plan ------------------------------------------------
-    def plan(self, epoch: int, t_end: float) -> Dict[int, List[Shard]]:
+    def plan(self, epoch: int, t_end: float):
         spec = self.spec
         t_start = spec.epoch_end(epoch - 1) if epoch > 0 else 0.0
-        submissions: Dict[int, List[Shard]] = {
-            i: [] for i in range(len(spec.services))
-        }
+        submissions: List[List[Shard]] = [[] for _ in spec.services]
         for e, edge in enumerate(spec.edges):
             queue = self.edge_queues[e]
             taken = 0
@@ -463,9 +360,7 @@ class _MeshDriver:
                 cls = self.classes[req.cls_name]
                 op = cls.op_for(edge.target)
                 if self.controller == "dagor":
-                    priority = compound_priority(
-                        op, req.client, spec.dagor_user_levels
-                    )
+                    priority = compound_priority(op, req.client, USER_LEVELS)
                     if priority > self.admit_levels[edge.target]:
                         req.failed = "shed-upstream"
                         self.counts[req.cls_name]["shed_upstream"] += 1
@@ -503,7 +398,10 @@ class _MeshDriver:
                 self._params(op, self.classes[cls_name], rid, 0),
                 client,
             ))
-        return submissions
+        return [
+            (shards, self.directives.get(index, []))
+            for index, shards in enumerate(submissions)
+        ]
 
     def _params(self, op, cls, rid: int, k: int) -> Dict[str, Any]:
         if op == "scan":
@@ -566,7 +464,8 @@ class _MeshDriver:
                 self.counts[req.cls_name]["completed"] += 1
                 if req.victim:
                     self.victim_done.append((req.arrival, cp))
-                    self._window_victim_cp.append(cp)
+                    if self.tower is not None:
+                        self._window_victim_cp.append(cp)
         fleet_p99 = (
             percentile(window_victim_shards, 99)
             if window_victim_shards else float("nan")
@@ -587,13 +486,13 @@ class _MeshDriver:
             },
             window_cancelled_ops,
         )
+        self.directives = self._tower_directives(epoch, t_end, statuses)
 
     # -- tower slow loop ----------------------------------------------
-    def tower_directives(
+    def _tower_directives(
         self, epoch: int, t_end: float, statuses: List[ServiceStatus]
     ) -> Dict[int, List[Tuple[str, float]]]:
         if self.tower is None or (epoch + 1) % self.tower_epochs != 0:
-            self._maybe_clear_window(epoch)
             return {}
         cp_p99 = (
             percentile(self._window_victim_cp, 99)
@@ -613,14 +512,8 @@ class _MeshDriver:
             for name, target in sorted(targets.items())
         }
 
-    def _maybe_clear_window(self, epoch: int) -> None:
-        # Victim-cp window only feeds the tower; bound its growth for
-        # the controllers that never read it.
-        if self.tower is None and len(self._window_victim_cp) > 10000:
-            self._window_victim_cp = []
-
     # -- final result --------------------------------------------------
-    def summarize(self, reports: List[Dict[str, Any]]) -> DagResult:
+    def finish(self, reports: List[Dict[str, Any]]) -> DagResult:
         spec = self.spec
         result = DagResult(
             controller=self.controller,
@@ -655,140 +548,6 @@ class _MeshDriver:
         return result
 
 
-def _drive(spec, controller, advance_all, finish_all) -> DagResult:
-    driver = _MeshDriver(spec, controller)
-    directives: Dict[int, List[Tuple[str, float]]] = {}
-    for epoch in range(spec.epoch_count()):
-        t_end = spec.epoch_end(epoch)
-        plan = driver.plan(epoch, t_end)
-        statuses = advance_all(epoch, t_end, plan, directives)
-        driver.fold(epoch, t_end, statuses)
-        directives = driver.tower_directives(epoch, t_end, statuses)
-    return driver.summarize(finish_all())
-
-
-class Mesh:
-    """Builds and drives one mesh run (serial path)."""
-
-    def __init__(self, spec: DagSpec, controller: str) -> None:
-        self.spec = spec
-        self.controller = controller
-        self.nodes = [
-            ServiceNode(spec, service, index, controller)
-            for index, service in enumerate(spec.services)
-        ]
-
-    def run(self) -> DagResult:
-        return _drive(
-            self.spec, self.controller,
-            self._advance_serial, self._finish_serial,
-        )
-
-    def _advance_serial(self, epoch, t_end, plan, directives):
-        return [
-            node.advance(
-                epoch, t_end,
-                plan.get(node.index, []),
-                directives.get(node.index, []),
-            )
-            for node in self.nodes
-        ]
-
-    def _finish_serial(self):
-        return [node.finish() for node in self.nodes]
-
-
-# ----------------------------------------------------------------------
-# Sharded execution (campaign worker pool)
-# ----------------------------------------------------------------------
-
-def _shard_worker(spec_dict, controller, indices, conn):  # pragma: no cover
-    """Persistent shard process: owns a subset of the mesh's services."""
-    spec = DagSpec.from_dict(spec_dict)
-    nodes = {
-        index: ServiceNode(spec, spec.services[index], index, controller)
-        for index in indices
-    }
-    try:
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "advance":
-                _, epoch, t_end, inputs = message
-                statuses = {}
-                for index, (shards, directives) in inputs.items():
-                    statuses[index] = nodes[index].advance(
-                        epoch, t_end, shards, directives
-                    )
-                conn.send(statuses)
-            elif kind == "finish":
-                conn.send(
-                    {index: node.finish() for index, node in nodes.items()}
-                )
-            else:
-                break
-    finally:
-        conn.close()
-
-
-class _MeshShardPool:
-    """Fork-started shard processes driven over pipes."""
-
-    def __init__(self, spec: DagSpec, controller: str, shards: int) -> None:
-        ctx = multiprocessing.get_context("fork")
-        n = len(spec.services)
-        self.assignments = [
-            [index for index in range(n) if index % shards == s]
-            for s in range(shards)
-        ]
-        self.pipes = []
-        self.procs = []
-        spec_dict = spec.to_dict()
-        for indices in self.assignments:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(spec_dict, controller, indices, child),
-            )
-            proc.daemon = True
-            proc.start()
-            child.close()
-            self.pipes.append(parent)
-            self.procs.append(proc)
-
-    def advance_all(self, epoch, t_end, plan, directives):
-        for pipe, indices in zip(self.pipes, self.assignments):
-            inputs = {
-                index: (plan.get(index, []), directives.get(index, []))
-                for index in indices
-            }
-            pipe.send(("advance", epoch, t_end, inputs))
-        merged: Dict[int, ServiceStatus] = {}
-        for pipe in self.pipes:
-            merged.update(pipe.recv())
-        return [merged[index] for index in sorted(merged)]
-
-    def finish_all(self):
-        for pipe in self.pipes:
-            pipe.send(("finish",))
-        merged: Dict[int, Dict[str, Any]] = {}
-        for pipe in self.pipes:
-            merged.update(pipe.recv())
-        return [merged[index] for index in sorted(merged)]
-
-    def close(self):
-        for pipe in self.pipes:
-            try:
-                pipe.send(("stop",))
-                pipe.close()
-            except OSError:
-                pass
-        for proc in self.procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-
-
 def run_dag(
     spec: DagSpec,
     controller: str = "atropos",
@@ -796,25 +555,16 @@ def run_dag(
 ) -> DagResult:
     """Run a mesh to completion; serial or sharded, same bytes.
 
-    ``jobs`` defaults to the campaign worker-pool settings
-    (:func:`repro.campaign.settings` overlays / ``REPRO_JOBS``);
-    service simulations shard round-robin across ``min(jobs, services)``
-    persistent fork-started workers.  Platforms without fork -- and
-    daemonized campaign pool workers, which may not fork again -- fall
-    back to serial execution (identical bytes either way).
+    Service simulations shard round-robin across ``min(jobs, services)``
+    persistent fork-started workers; ``jobs`` defaults to the campaign
+    worker-pool settings (see :func:`repro.cluster.epoch.run_epochs`).
     """
-    from ..campaign import current_settings
-
-    resolved = current_settings(jobs=jobs)
-    shards = min(resolved.jobs, len(spec.services))
-    if (
-        shards <= 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return Mesh(spec, controller).run()
-    pool = _MeshShardPool(spec, controller, shards)
-    try:
-        return _drive(spec, controller, pool.advance_all, pool.finish_all)
-    finally:
-        pool.close()
+    return run_epochs(
+        spec,
+        MeshPlanner(spec, controller),
+        lambda index: ServiceNode(
+            spec, spec.services[index], index, controller
+        ),
+        len(spec.services),
+        jobs,
+    )

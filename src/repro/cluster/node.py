@@ -1,18 +1,21 @@
-"""One fleet node: its own sim environment, app, driver, and pipeline.
+"""One epoch-advanced app simulation: the node stack of both tiers.
 
-A :class:`ClusterNode` wraps a complete single-node simulation (exactly
-the stack :func:`repro.experiments.harness.run_simulation` assembles)
-behind an epoch-synchronized ``advance`` API: the fleet hands it the
-epoch's routed arrivals and any coordinator directives, the node runs
-its environment to the epoch end, and returns a JSON-able
-:class:`NodeStatus` snapshot.  Because a node never touches another
-node's state mid-epoch, the same ``advance`` calls produce byte-identical
-results whether nodes live in one process or are sharded across workers.
+:class:`EpochNode` is a complete single-node simulation (exactly the
+stack :func:`repro.experiments.harness.run_simulation` assembles: sim
+environment, backend app, controller, driver, metrics) behind the
+epoch engine's node contract (:mod:`repro.cluster.epoch`): ``advance``
+runs the environment to the epoch end on the epoch's inputs and returns
+a picklable status, ``finish`` returns the end-of-run report.  Because a
+node never touches another node's state mid-epoch, the same calls give
+byte-identical results whether nodes live in one process or are sharded
+across workers.  A fleet node is a :class:`ClusterNode`; a mesh service
+is a :class:`~repro.cluster.mesh.ServiceNode`.
 
-Cluster ops (``point``/``write``/``heavy_report``/``fanout_scan``) are
-registered as *alias handlers* that dispatch to the backend's native
-handlers, so request records, candidate evidence, and cancel signals all
-carry the cluster-level op names the coordinator aggregates by.
+Backend-neutral ops (``point``/``write``/``scan``/``fanout_scan``, plus
+the fleet's ``heavy_report``) are registered as *alias handlers* that
+dispatch to the backend's native handlers, so request records,
+candidate evidence, and cancel signals all carry the neutral op names
+the coordinator and the mesh aggregate by.
 
 Directive delivery reuses :mod:`repro.core.distributed`: each cancel
 directive builds a :class:`~repro.core.distributed.TaskTree` over the
@@ -25,26 +28,22 @@ delivered (``already-cancelling``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
+from ..apps.base import Operation
 from ..apps.mysql import MySQL, MySQLConfig
 from ..apps.postgres import PostgreSQL, PostgresConfig
-from ..apps.base import Operation
-from ..core.atropos import Atropos
-from ..core.config import AtroposConfig
+from ..baselines import controller_factory
 from ..core.distributed import Node as DistNode
 from ..core.distributed import TaskTree
 from ..core.task import CancellableTask
 from ..core.types import CancelSignal
 from ..sim.environment import Environment
-from ..sim.metrics import MetricsCollector, percentile
+from ..sim.metrics import MetricsCollector, Summary, percentile
 from ..sim.rng import Rng
 from ..workloads.driver import Driver
 from .directives import CANCEL, Directive
 from .spec import FleetSpec, NodeSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 #: Arrival tuple crossing the LB -> node boundary (picklable).
 #: ``(time, op, params, client_id)``.
@@ -84,61 +83,140 @@ class NodeStatus:
     #: DAGOR feedback: highest op priority value the node admits.
     admit_priority: int = 99
 
-    def to_dict(self) -> Dict[str, Any]:
-        out = dict(self.__dict__)
-        out["victim_latencies"] = list(self.victim_latencies)
-        out["completions_by_op"] = dict(self.completions_by_op)
-        out["candidates"] = {
-            k: round(v, 9) for k, v in sorted(self.candidates.items())
-        }
-        out["blame"] = {
-            k: round(v, 9) for k, v in sorted(self.blame.items())
-        }
-        return out
+
+def _mysql(env, controller, rng, spec):
+    """A MySQL app and its neutral-op table."""
+    app = MySQL(
+        env,
+        controller,
+        rng,
+        MySQLConfig(
+            tables=spec.tables,
+            pages_per_light_op=spec.mysql_pages_per_light_op,
+            miss_penalty=spec.mysql_miss_penalty,
+        ),
+    )
+
+    def point(task, table=0):
+        yield from app.point_select(task, table=table)
+
+    def write(task, table=0):
+        yield from app.row_update(task, table=table)
+
+    def scan(task, rows=0.0):
+        yield from app.scan(task, table=0, rows=rows)
+
+    return app, {"point": point, "write": write, "scan": scan,
+                 "fanout_scan": scan}
 
 
-class ClusterNode:
-    """One app node, advanced epoch by epoch."""
+def _postgres(env, controller, rng, spec):
+    """A PostgreSQL app and its neutral-op table."""
+    app = PostgreSQL(env, controller, rng, PostgresConfig(tables=spec.tables))
+
+    def point(task, table=0):
+        yield from app.select(task, table=table)
+
+    def write(task, table=0):
+        yield from app.update(task, table=table)
+
+    def scan(task, rows=0.0):
+        yield from app.vacuum(task, total_bytes=rows * spec.pg_bytes_per_row)
+
+    return app, {"point": point, "write": write, "scan": scan,
+                 "fanout_scan": scan}
+
+
+#: Backend name -> builder of its app and neutral-op table.
+_BACKENDS = {"mysql": _mysql, "postgres": _postgres}
+
+
+class EpochNode:
+    """The node stack both tiers share; subclasses add ``advance``.
+
+    ``spec`` is a :class:`FleetSpec` or a
+    :class:`~repro.workloads.dag.DagSpec` and ``member`` its
+    :class:`NodeSpec` or :class:`~repro.workloads.dag.ServiceSpec` (each
+    pair carries the fields read here).  The node's random stream forks
+    from the spec seed as ``<tier>:<name>``; ``make_controller`` builds
+    its controller, started unless ``start`` is false.
+    """
+
+    def __init__(self, spec, member, index: int, tier: str,
+                 make_controller: Callable, start: bool) -> None:
+        self.spec = spec
+        self.index = index
+        self.name = member.name
+        self.backend = member.backend
+        self.env = Environment()
+        rng = Rng(spec.seed).fork(f"{tier}:{self.name}")
+        self.controller = make_controller(self.env)
+        self.app, ops = _BACKENDS[self.backend](self.env, self.controller,
+                                                rng, spec)
+        for op, handler in ops.items():
+            self.app.register_handler(op, handler)
+        self.controller.bind(self.app)
+        if start:
+            self.controller.start()
+        self.collector = MetricsCollector()
+        self.driver = Driver(self.env, self.app, self.controller, self.collector)
+        # Window bookkeeping for status diffs.
+        self._record_idx = 0
+        self._offered_last = 0
+
+    def _make_op(self, op: str, params: Dict[str, Any]):
+        def factory(op=op, params=params):
+            return Operation(op, dict(params))
+
+        return factory
+
+    def _take_window(self):
+        """Records finished and arrivals offered since the last call."""
+        records = self.collector.records
+        window = records[self._record_idx:]
+        self._record_idx = len(records)
+        offered_window = self.collector.offered - self._offered_last
+        self._offered_last = self.collector.offered
+        return window, offered_window
+
+    def _report(self, role: str, horizon: float,
+                **extras: Any) -> Dict[str, Any]:
+        """End-of-run report over post-warmup records, then ``extras``."""
+        warmup = self.spec.warmup
+        summary = Summary.from_collector(
+            self.collector.trimmed(warmup), horizon - warmup
+        )
+        return {
+            role: self.name,
+            "backend": self.backend,
+            "throughput": summary.throughput,
+            "p99_latency": summary.p99_latency,
+            "completed": summary.completed,
+            "cancelled": summary.cancelled,
+            "dropped": summary.dropped,
+            **extras,
+        }
+
+
+class ClusterNode(EpochNode):
+    """One fleet app node, advanced epoch by epoch."""
 
     def __init__(
         self, spec: FleetSpec, node_spec: NodeSpec, index: int
     ) -> None:
-        self.spec = spec
-        self.node_spec = node_spec
-        self.index = index
-        self.name = node_spec.name
-        self.backend = node_spec.backend
-        self.env = Environment()
-        rng = Rng(spec.seed).fork(f"cluster:{self.name}")
-        config = AtroposConfig(
-            slo_latency=spec.slo_latency,
-            cancellation_enabled=(spec.mode == "local"),
+        super().__init__(
+            spec,
+            node_spec,
+            index,
+            "cluster",
+            controller_factory(
+                "atropos",
+                spec.slo_latency,
+                {"cancellation_enabled": spec.mode == "local"},
+            ),
+            start=spec.mode != "none",
         )
-        self.controller = Atropos(self.env, config)
-        if node_spec.backend == "mysql":
-            self.app = MySQL(
-                self.env,
-                self.controller,
-                rng,
-                MySQLConfig(
-                    tables=spec.tables,
-                    pages_per_light_op=spec.mysql_pages_per_light_op,
-                    miss_penalty=spec.mysql_miss_penalty,
-                ),
-            )
-        else:
-            self.app = PostgreSQL(
-                self.env,
-                self.controller,
-                rng,
-                PostgresConfig(tables=spec.tables),
-            )
-        self._register_cluster_ops()
-        self.controller.bind(self.app)
-        if spec.mode != "none":
-            self.controller.start()
-        self.collector = MetricsCollector()
-        self.driver = Driver(self.env, self.app, self.controller, self.collector)
+        self.app.register_handler("heavy_report", self._heavy_report)
         #: Reachability handle for the coordinator's failure model.
         self.dist_node = DistNode(self.name)
         #: Directives awaiting delivery (node was partitioned).
@@ -148,56 +226,20 @@ class ClusterNode:
         #: Ops those directive cancels targeted, in delivery order.
         self.directive_cancelled_ops: List[str] = []
         self._directive_seq = 0
-        # Window bookkeeping for status diffs.
-        self._record_idx = 0
-        self._offered_last = 0
         self._cancel_log_idx = 0
         self._directive_cancels_last = 0
 
-    # ------------------------------------------------------------------
-    # Cluster-op alias handlers
-    # ------------------------------------------------------------------
-    def _register_cluster_ops(self) -> None:
-        app = self.app
+    def _heavy_report(self, task):
+        """The decoy culprit: a big single-node holder."""
         spec = self.spec
         if self.backend == "mysql":
-
-            def point(task, table=0):
-                yield from app.point_select(task, table=table)
-
-            def write(task, table=0):
-                yield from app.row_update(task, table=table)
-
-            def heavy_report(task):
-                yield from app.report_query(
-                    task,
-                    pages=spec.report_pages,
-                    duration=spec.report_duration,
-                )
-
-            def fanout_scan(task, rows=0.0):
-                yield from app.scan(task, table=0, rows=rows)
-
+            yield from self.app.report_query(
+                task, pages=spec.report_pages, duration=spec.report_duration
+            )
         else:
-
-            def point(task, table=0):
-                yield from app.select(task, table=table)
-
-            def write(task, table=0):
-                yield from app.update(task, table=table)
-
-            def heavy_report(task):
-                yield from app.bulk_update(task, table=0, rows=spec.report_rows)
-
-            def fanout_scan(task, rows=0.0):
-                yield from app.vacuum(
-                    task, total_bytes=rows * spec.pg_bytes_per_row
-                )
-
-        app.register_handler("point", point)
-        app.register_handler("write", write)
-        app.register_handler("heavy_report", heavy_report)
-        app.register_handler("fanout_scan", fanout_scan)
+            yield from self.app.bulk_update(
+                task, table=0, rows=spec.report_rows
+            )
 
     # ------------------------------------------------------------------
     # Epoch advance
@@ -228,12 +270,6 @@ class ClusterNode:
                 self.driver.run_arrivals(entries, client_id=client)
         self.env.run(until=t_end)
         return self._status(epoch, t_end)
-
-    def _make_op(self, op: str, params: Dict[str, Any]):
-        def factory(op=op, params=params):
-            return Operation(op, dict(params))
-
-        return factory
 
     def _apply_partition_schedule(self, now: float) -> None:
         partitioned = any(
@@ -290,12 +326,7 @@ class ClusterNode:
     # ------------------------------------------------------------------
     def _status(self, epoch: int, t_end: float) -> NodeStatus:
         spec = self.spec
-        records = self.collector.records
-        window = records[self._record_idx:]
-        self._record_idx = len(records)
-        offered_total = self.collector.offered
-        offered_window = offered_total - self._offered_last
-        self._offered_last = offered_total
+        window, offered_window = self._take_window()
         status = NodeStatus(
             node=self.name,
             backend=self.backend,
@@ -387,29 +418,17 @@ class ClusterNode:
     # ------------------------------------------------------------------
     def finish(self) -> Dict[str, Any]:
         """Per-node end-of-run report (picklable)."""
-        from ..sim.metrics import Summary
-
-        spec = self.spec
-        effective = spec.duration - spec.warmup
-        summary = Summary.from_collector(
-            self.collector.trimmed(spec.warmup), effective
-        )
         log = self.controller.cancellation.log
-        return {
-            "node": self.name,
-            "backend": self.backend,
-            "throughput": summary.throughput,
-            "p99_latency": summary.p99_latency,
-            "completed": summary.completed,
-            "cancelled": summary.cancelled,
-            "dropped": summary.dropped,
-            "local_cancels": int(self.controller.cancels_issued),
-            "local_cancelled_ops": [
+        return self._report(
+            "node",
+            self.spec.duration,
+            local_cancels=int(self.controller.cancels_issued),
+            local_cancelled_ops=[
                 entry.op_name
                 for entry in log
                 if getattr(entry, "delivered", True)
             ],
-            "directive_cancels": int(self.directive_cancels),
-            "directive_cancelled_ops": list(self.directive_cancelled_ops),
-            "regular_overloads": int(self.controller.regular_overloads),
-        }
+            directive_cancels=int(self.directive_cancels),
+            directive_cancelled_ops=list(self.directive_cancelled_ops),
+            regular_overloads=int(self.controller.regular_overloads),
+        )

@@ -3,14 +3,16 @@
 A :class:`FleetSpec` fully determines a cluster run: same spec + same
 seed -> byte-identical :class:`~repro.cluster.fleet.FleetResult`,
 whether the per-node simulations run serially or sharded across worker
-processes.  Specs are plain JSON-able data so shard workers can rebuild
-their nodes from the spec instead of unpickling live simulation state.
+processes.  Specs are plain JSON-able data, so a campaign run can carry
+one in its parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Sequence, Tuple
+
+from .epoch import epoch_count, epoch_end
 
 #: Backends a node may run (the repro.apps models wired into the fleet).
 BACKENDS = ("mysql", "postgres")
@@ -159,15 +161,13 @@ class FleetSpec:
     # ------------------------------------------------------------------
     def epoch_count(self) -> int:
         """Number of epochs covering [0, duration] (last may be short)."""
-        import math
-
-        return max(1, math.ceil(self.duration / self.epoch - 1e-9))
+        return epoch_count(self.duration, self.epoch)
 
     def epoch_end(self, index: int) -> float:
-        return min(self.duration, (index + 1) * self.epoch)
+        return epoch_end(index, self.duration, self.epoch)
 
     # ------------------------------------------------------------------
-    # Serialization (shard workers rebuild nodes from the spec)
+    # Serialization (campaign parameters)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)

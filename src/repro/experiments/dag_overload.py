@@ -97,9 +97,8 @@ def _build_dag(params: Dict[str, Any]) -> SimBuild:
         spec = DagSpec.from_dict(
             dict(scenario, seed=seed, duration=duration, warmup=warmup)
         )
-        # Mesh service-sharding would fork inside the (possibly
-        # daemonized) campaign worker; parallelism across specs is the
-        # campaign pool's job, so each mesh runs its services serially.
+        # Parallelism across specs is the campaign pool's job, so each
+        # mesh runs its services serially.
         result = run_dag(spec, controller=controller, jobs=1)
         payload = result.to_dict()
         extras = {"dag": payload, "dag_digest": result.digest()}

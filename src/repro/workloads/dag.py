@@ -13,13 +13,11 @@ every reachable service completed its stage.
 Per-service work is described with a backend-neutral op vocabulary
 (:data:`DAG_OPS`): ``point`` (light read), ``write`` (light update),
 ``scan`` (a heavy bulk pass sized by the request class's ``rows``).
-The execution engine (:mod:`repro.cluster.mesh`) maps these onto the
+The cluster node stack (:mod:`repro.cluster.node`) maps these onto the
 backend's native handlers, exactly like the fleet tier's cluster ops.
 
 Specs are plain JSON-able data (same contract as
-:class:`~repro.cluster.spec.FleetSpec`): shard workers rebuild their
-service nodes from the spec, which is what makes serial and sharded
-mesh runs byte-identical.
+:class:`~repro.cluster.spec.FleetSpec`).
 """
 
 from __future__ import annotations
@@ -133,8 +131,6 @@ class DagSpec:
     pg_bytes_per_row: float = 400.0
 
     # --- controller knobs carried by the spec (cache identity) ---
-    #: DAGOR user levels per business-priority class.
-    dagor_user_levels: int = 8
     #: Seconds between Autothrottle tower (slow-loop) adjustments.
     tower_period: float = 2.0
 
@@ -246,8 +242,6 @@ class DagSpec:
             problems.append("epoch must not exceed duration")
         if self.drain < 0:
             problems.append("drain must be >= 0")
-        if self.dagor_user_levels < 1:
-            problems.append("dagor_user_levels must be >= 1")
         if self.tower_period <= 0:
             problems.append("tower_period must be > 0")
         for culprit in self.expected_culprits:
@@ -309,17 +303,18 @@ class DagSpec:
         raise KeyError(name)
 
     # ------------------------------------------------------------------
-    # Epoch arithmetic (mirrors FleetSpec)
+    # Epoch arithmetic (the cluster epoch engine's, over duration + drain)
     # ------------------------------------------------------------------
     def epoch_count(self) -> int:
         """Epochs covering [0, duration + drain] (last may be short)."""
-        import math
+        from ..cluster.epoch import epoch_count
 
-        total = self.duration + self.drain
-        return max(1, math.ceil(total / self.epoch - 1e-9))
+        return epoch_count(self.duration + self.drain, self.epoch)
 
     def epoch_end(self, index: int) -> float:
-        return min(self.duration + self.drain, (index + 1) * self.epoch)
+        from ..cluster.epoch import epoch_end
+
+        return epoch_end(index, self.duration + self.drain, self.epoch)
 
     # ------------------------------------------------------------------
     # Serialization
